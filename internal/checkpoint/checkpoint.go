@@ -87,10 +87,49 @@ type IWKey struct {
 // statsSize is the fixed encoded size of stats.Node (flat integers).
 var statsSize = binary.Size(stats.Node{})
 
-// Encode serializes the snapshot: magic, version, payload, CRC32
-// (IEEE) of everything preceding the checksum.
-func Encode(s *Snapshot) []byte {
-	w := &writer{}
+// Size returns the exact length of the encoded snapshot, so an encoder
+// can size its buffer once instead of regrowing it.
+func Size(s *Snapshot) int {
+	n := len(Magic) + 4 + 4*8 + 4 + 8*len(s.Journal) + 4
+	for i := range s.Nodes {
+		n += nodeSize(&s.Nodes[i])
+	}
+	return n + 4 // CRC32
+}
+
+func nodeSize(n *NodeState) int {
+	sz := 4 + len(n.Tags) + 4 + 2*len(n.Dirty) + 4 + len(n.Mapped)
+	sz += 4
+	for _, b := range n.Blocks {
+		sz += 4 + 4 + len(b.Data)
+	}
+	sz += 4
+	for _, d := range n.Dir {
+		sz += 4 + 3*4 + 8*(len(d.Sharers)+len(d.Writers)+len(d.Stale))
+	}
+	sz += 4 + 8*len(n.IWDone)
+	sz += 4 + len(n.CCFrames) + 4 + len(n.CCTouched) + 4 + len(n.SCHold)
+	sz += 8 + 8
+	return sz + 4 + statsSize
+}
+
+// Encode serializes the snapshot into dst's storage: magic, version,
+// payload, CRC32 (IEEE) of everything preceding the checksum. Every
+// byte is written once, into storage sized up front: dst is reused
+// when it can hold Size(s) bytes (the returned blob then aliases it),
+// so a caller that keeps its buffers encodes allocation-free in steady
+// state. A nil dst always gets a fresh buffer.
+//
+//simlint:hotpath
+func Encode(dst []byte, s *Snapshot) []byte {
+	size := Size(s)
+	if cap(dst) < size {
+		// An eighth of headroom: a run's snapshots creep up by a few
+		// bytes per epoch (one more directory entry or install-window
+		// key), and each creep must not cost a fresh multi-MB buffer.
+		dst = make([]byte, 0, size+size/8)
+	}
+	w := writer{buf: dst[:0]}
 	w.raw([]byte(Magic))
 	w.u32(Version)
 	w.i64(s.Epoch)
@@ -103,12 +142,13 @@ func Encode(s *Snapshot) []byte {
 	}
 	w.u32(uint32(len(s.Nodes)))
 	for i := range s.Nodes {
-		encodeNode(w, &s.Nodes[i])
+		encodeNode(&w, &s.Nodes[i])
 	}
 	w.u32(crc32.ChecksumIEEE(w.buf))
 	return w.buf
 }
 
+//simlint:hotpath
 func encodeNode(w *writer, n *NodeState) {
 	w.blob(n.Tags)
 	w.u32(uint32(len(n.Dirty)))
@@ -138,11 +178,11 @@ func encodeNode(w *writer, n *NodeState) {
 	w.blob(n.SCHold)
 	w.i64(n.CCRecv)
 	w.i64(n.CCExpected)
-	var sb bytes.Buffer
-	if err := binary.Write(&sb, binary.LittleEndian, &n.Stats); err != nil {
+	w.u32(uint32(statsSize))
+	var err error
+	if w.buf, err = binary.Append(w.buf, binary.LittleEndian, &n.Stats); err != nil {
 		panic(fmt.Sprintf("checkpoint: stats encode: %v", err))
 	}
-	w.blob(sb.Bytes())
 }
 
 // Decode parses and validates an encoded snapshot. It never panics on
@@ -234,7 +274,15 @@ func decodeNode(r *reader) (NodeState, error) {
 
 type writer struct{ buf []byte }
 
-func (w *writer) raw(b []byte) { w.buf = append(w.buf, b...) }
+// raw appends b. Every append below lands in a buffer Encode
+// presized to hold the whole encoding, so none of them grows it.
+//
+//simlint:hotpath
+func (w *writer) raw(b []byte) {
+	//simlint:ignore hotalloc -- the buffer is presized to Size(s); the append never grows it
+	w.buf = append(w.buf, b...)
+}
+
 func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
 func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }

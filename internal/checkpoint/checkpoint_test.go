@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -45,7 +47,10 @@ func sample() *Snapshot {
 
 func TestCodecRoundTrip(t *testing.T) {
 	want := sample()
-	blob := Encode(want)
+	blob := Encode(nil, want)
+	if n := Size(want); n != len(blob) {
+		t.Fatalf("Size = %d, encoded %d bytes", n, len(blob))
+	}
 	got, err := Decode(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +102,7 @@ func normalize(s *Snapshot) *Snapshot {
 }
 
 func TestCodecRejectsCorruption(t *testing.T) {
-	blob := Encode(sample())
+	blob := Encode(nil, sample())
 	// Flip every byte in turn: either the CRC, the magic, the version,
 	// or the structural validation must reject it. Nothing may panic.
 	for i := range blob {
@@ -121,9 +126,15 @@ func TestCodecRejectsCorruption(t *testing.T) {
 }
 
 func TestCodecDeterministic(t *testing.T) {
-	a, b := Encode(sample()), Encode(sample())
+	a, b := Encode(nil, sample()), Encode(nil, sample())
 	if !bytes.Equal(a, b) {
 		t.Fatal("Encode is not deterministic for identical snapshots")
+	}
+	// The wire bytes themselves are pinned: a rewrite of the encoder
+	// must not change the format without bumping Version.
+	const want = "ce275e97b553f2fbdf845fd6782008e6a628cb13a675e3c371db3c45726e53f5"
+	if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != want {
+		t.Fatalf("encoded sample hashes to %s, want %s", got, want)
 	}
 }
 
@@ -134,15 +145,18 @@ func TestCodecDeterministic(t *testing.T) {
 func FuzzCheckpointCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("HPFCKPT1"))
-	f.Add(Encode(sample()))
-	f.Add(Encode(&Snapshot{}))
-	f.Add(Encode(&Snapshot{Epoch: 1, Nodes: make([]NodeState, 3)}))
+	f.Add(Encode(nil, sample()))
+	f.Add(Encode(nil, &Snapshot{}))
+	f.Add(Encode(nil, &Snapshot{Epoch: 1, Nodes: make([]NodeState, 3)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {
 			return
 		}
-		re := Encode(s)
+		if n := Size(s); n != len(data) {
+			t.Fatalf("Size = %d for an accepted %d-byte blob", n, len(data))
+		}
+		re := Encode(nil, s)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted blob is not canonical: re-encode differs (%d vs %d bytes)", len(re), len(data))
 		}

@@ -12,8 +12,9 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hpfdsm/internal/checkpoint"
 	"hpfdsm/internal/memory"
@@ -59,85 +60,111 @@ func (p *Proto) Quiescent() bool {
 	return true
 }
 
-// Capture snapshots the cluster's protocol-visible state. The caller
+// Checkpoint captures the cluster's protocol-visible state, encodes it
+// into dst[:0] (checkpoint.Encode) and returns the blob. The caller
 // must have established quiescence (Quiescent); a busy directory entry
 // here is a bug, not a race.
-func (p *Proto) Capture() *checkpoint.Snapshot {
+//
+// State is copied exactly once, by the encoder: the capture is a view
+// whose block images and directory sets alias live node memory, and
+// whose per-node tag, dirty, mapped, flag and key slices are scratch
+// owned by p and reused across calls. Aliasing is sound because the
+// call runs synchronously at the all-arrived instant — no handler or
+// compute process can run between the capture and the encode — and the
+// view never leaves this package.
+func (p *Proto) Checkpoint(dst []byte) []byte {
+	return checkpoint.Encode(dst, p.capture())
+}
+
+// capture fills p.snap with a view of the current state (see
+// Checkpoint).
+//
+//simlint:hotpath
+func (p *Proto) capture() *checkpoint.Snapshot {
 	c := p.C
-	sp := c.Space
+	s := &p.snap
+	s.Epoch = c.Epoch()
+	s.SimTime = int64(c.Env.Now())
+	s.TimerStart = int64(c.TimerStart)
+	s.ReduceGen = c.ReduceGen()
+	s.Journal = c.ReduceJournal
+	s.Nodes = sized(s.Nodes, len(p.nodes))
+	for i, np := range p.nodes {
+		np.capture(&s.Nodes[i])
+	}
+	return s
+}
+
+// capture fills ns with a view of this node's state, reusing ns's
+// slices. Directory entries are collected in ascending block order by
+// the same walk that reads the tags, so no key sort is needed.
+//
+//simlint:hotpath
+func (np *nodeProto) capture(ns *checkpoint.NodeState) {
+	mem := np.n.Mem
+	sp := mem.Space()
 	nb := sp.NumBlocks()
 	npg := sp.NumPages()
-	s := &checkpoint.Snapshot{
-		Epoch:      c.Epoch(),
-		SimTime:    int64(c.Env.Now()),
-		TimerStart: int64(c.TimerStart),
-		ReduceGen:  c.ReduceGen(),
-		Journal:    append([]float64(nil), c.ReduceJournal...),
-	}
-	for _, np := range p.nodes {
-		mem := np.n.Mem
-		ns := checkpoint.NodeState{
-			Tags:       make([]byte, nb),
-			Dirty:      make([]uint16, nb),
-			Mapped:     make([]byte, npg),
-			CCRecv:     np.ccRecv.Value(),
-			CCExpected: np.ccExpected,
-			Stats:      *np.n.St,
-		}
-		for b := 0; b < nb; b++ {
-			ns.Tags[b] = byte(mem.Tag(b))
-			ns.Dirty[b] = mem.Dirty(b)
+	ns.Tags = sized(ns.Tags, nb)
+	ns.Dirty = sized(ns.Dirty, nb)
+	ns.Mapped = sized(ns.Mapped, npg)
+	blocks, dir := ns.Blocks[:0], ns.Dir[:0]
+	// Page by page: a page has one home, so the home test runs once per
+	// page instead of once per block.
+	bpp := sp.Machine().PageSize / sp.BlockSize()
+	for first := 0; first < nb; first += bpp {
+		home := sp.HomeOfBlock(first) == np.id
+		for b := first; b < min(first+bpp, nb); b++ {
+			tag, dirty := mem.Tag(b), mem.Dirty(b)
+			ns.Tags[b] = byte(tag)
+			ns.Dirty[b] = dirty
 			// A block matters if this node is its home (home memory is
 			// the authoritative copy) or holds a live or dirty cached
 			// copy; everything else is reconstructible garbage.
-			if sp.HomeOfBlock(b) == np.id || mem.Tag(b) != memory.Invalid || mem.Dirty(b) != 0 {
-				ns.Blocks = append(ns.Blocks, checkpoint.BlockImage{
-					Block: int32(b),
-					Data:  append([]byte(nil), mem.BlockData(b)...),
-				})
+			if home || tag != memory.Invalid || dirty != 0 {
+				//simlint:ignore hotalloc -- the block list grows to its high-water mark once; later captures reuse its capacity
+				blocks = append(blocks, checkpoint.BlockImage{Block: int32(b), Data: mem.BlockData(b)})
 			}
-		}
-		for pg := 0; pg < npg; pg++ {
-			if mem.Mapped(pg) {
-				ns.Mapped[pg] = 1
+			if !home {
+				continue
 			}
-		}
-		blocks := make([]int, 0, len(np.dir))
-		for b := range np.dir {
-			blocks = append(blocks, b)
-		}
-		sort.Ints(blocks)
-		for _, b := range blocks {
 			e := np.dir[b]
+			if e == nil {
+				continue
+			}
 			if e.busy || e.pending != 0 || len(e.waitQ) != 0 {
 				panic(fmt.Sprintf("protocol: capture with busy directory entry for block %d on node %d", b, np.id))
 			}
-			ns.Dir = append(ns.Dir, checkpoint.DirEntry{
-				Block:   int32(b),
-				Sharers: append([]uint64(nil), e.sharers.words()...),
-				Writers: append([]uint64(nil), e.writers.words()...),
-				Stale:   append([]uint64(nil), e.stale.words()...),
+			//simlint:ignore hotalloc -- the directory list grows to its high-water mark once; later captures reuse its capacity
+			dir = append(dir, checkpoint.DirEntry{
+				Block: int32(b), Sharers: e.sharers.words(), Writers: e.writers.words(), Stale: e.stale.words(),
 			})
 		}
-		keys := make([][2]int, 0, len(np.iwDone))
-		for k := range np.iwDone {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
-		})
-		for _, k := range keys {
-			ns.IWDone = append(ns.IWDone, checkpoint.IWKey{A: int32(k[0]), B: int32(k[1])})
-		}
-		ns.CCFrames = packFlags(np.ccFrames)
-		ns.CCTouched = packFlags(np.ccTouched)
-		ns.SCHold = packFlags(np.scHold)
-		s.Nodes = append(s.Nodes, ns)
 	}
-	return s
+	if len(dir) != len(np.dir) {
+		panic(fmt.Sprintf("protocol: node %d has %d directory entries, %d inside the segment", np.id, len(np.dir), len(dir)))
+	}
+	ns.Blocks, ns.Dir = blocks, dir
+	for pg := 0; pg < npg; pg++ {
+		var x byte
+		if mem.Mapped(pg) {
+			x = 1
+		}
+		ns.Mapped[pg] = x
+	}
+	keys := ns.IWDone[:0]
+	for k := range np.iwDone {
+		//simlint:ignore hotalloc -- the key list grows to its high-water mark once; later captures reuse its capacity
+		keys = append(keys, checkpoint.IWKey{A: int32(k[0]), B: int32(k[1])})
+	}
+	slices.SortFunc(keys, compareIWKey)
+	ns.IWDone = keys
+	ns.CCFrames = packFlags(ns.CCFrames, np.ccFrames)
+	ns.CCTouched = packFlags(ns.CCTouched, np.ccTouched)
+	ns.SCHold = packFlags(ns.SCHold, np.scHold)
+	ns.CCRecv = np.ccRecv.Value()
+	ns.CCExpected = np.ccExpected
+	ns.Stats = *np.n.St
 }
 
 // Restore installs a snapshot on a freshly built cluster (same machine
@@ -210,14 +237,33 @@ func (p *Proto) Restore(s *checkpoint.Snapshot) error {
 	return nil
 }
 
-func packFlags(f blockFlags) []byte {
-	out := make([]byte, len(f))
-	for i, v := range f {
-		if v {
-			out[i] = 1
-		}
+func compareIWKey(x, y checkpoint.IWKey) int {
+	if x.A != y.A {
+		return cmp.Compare(x.A, y.A)
 	}
-	return out
+	return cmp.Compare(x.B, y.B)
+}
+
+// packFlags writes f as 0/1 bytes into dst's storage.
+func packFlags(dst []byte, f blockFlags) []byte {
+	dst = sized(dst, len(f))
+	for i, v := range f {
+		var x byte
+		if v {
+			x = 1
+		}
+		dst[i] = x
+	}
+	return dst
+}
+
+// sized returns s resliced to length n, reallocating only when its
+// capacity is short. Callers overwrite every element.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func unpackFlags(b []byte, minLen int) blockFlags {

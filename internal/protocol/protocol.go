@@ -25,6 +25,7 @@ package protocol
 import (
 	"fmt"
 
+	"hpfdsm/internal/checkpoint"
 	"hpfdsm/internal/config"
 	"hpfdsm/internal/memory"
 	"hpfdsm/internal/network"
@@ -165,6 +166,9 @@ type Proto struct {
 	// runtime installs analysis.ProvIndex.Describe here; the hook is a
 	// plain function so the protocol does not import the verifier.
 	BlockInfo func(b int) string
+
+	// snap is Checkpoint's reusable capture view (see checkpoint.go).
+	snap checkpoint.Snapshot
 }
 
 // nodeProto is the per-node protocol state: the directory for blocks

@@ -158,3 +158,47 @@ func TestCrashNodeZeroRejected(t *testing.T) {
 		t.Fatal("crash spec for node 0 passed validation")
 	}
 }
+
+// TestCheckpointAccountingPinned pins the checkpoint accounting of every
+// Table 2 application under the recover8 benchmark configuration: 8
+// nodes, 1% drop/dup/reorder, node 2 crashing at epoch 3. The codec's
+// encoded size and the quiescent-capture schedule are part of the
+// model's observable output; a change to either must fail here rather
+// than only move a benchmark figure.
+func TestCheckpointAccountingPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all six applications under faults")
+	}
+	want := map[string]struct{ taken, bytes, recoveries int64 }{
+		"pde":     {11, 181369320, 1},
+		"shallow": {67, 173381560, 1},
+		"grav":    {131, 798776120, 1},
+		"lu":      {170, 62967200, 1},
+		"cg":      {40, 22773448, 1},
+		"jacobi":  {20, 13781344, 1},
+	}
+	f := config.Faults{
+		Drop: 0.01, Dup: 0.01, Reorder: 0.01, Seed: 1,
+		Crashes: []config.CrashSpec{{Node: 2, Epoch: 3}},
+	}
+	mc := config.Default().WithNodes(8).WithFaults(f)
+	for _, a := range apps.All() {
+		a := a
+		t.Run(a.Name, func(t *testing.T) {
+			prog, err := a.Program(a.ScaledParams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(prog, Options{Machine: mc, Opt: compiler.OptRTElim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := struct{ taken, bytes, recoveries int64 }{res.CheckpointsTaken, res.CheckpointBytes, res.Recoveries}
+			if got != want[a.Name] {
+				t.Errorf("checkpoints taken/bytes/recoveries = %d/%d/%d, want %d/%d/%d",
+					got.taken, got.bytes, got.recoveries,
+					want[a.Name].taken, want[a.Name].bytes, want[a.Name].recoveries)
+			}
+		})
+	}
+}

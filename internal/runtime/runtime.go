@@ -179,6 +179,7 @@ type recovery struct {
 	specs   []config.CrashSpec
 	fired   []bool
 	blob    []byte // latest complete checkpoint, encoded
+	spare   []byte // the capture before last's buffer, reused by the next
 	dir     string
 	prog    string
 
@@ -188,15 +189,18 @@ type recovery struct {
 	checksBefore int64 // BarrierChecks accumulated by aborted attempts
 }
 
-// keep installs a freshly captured checkpoint as the recovery point.
-func (rec *recovery) keep(blob []byte) {
-	rec.blob = blob
+// keep captures a checkpoint and installs it as the recovery point. The
+// capture is encoded into the buffer of the capture before last and the
+// two buffers swap, so the current recovery point stays whole until its
+// successor is complete and steady state allocates nothing.
+func (rec *recovery) keep(proto *protocol.Proto) {
+	rec.blob, rec.spare = proto.Checkpoint(rec.spare), rec.blob
 	rec.taken++
-	rec.bytes += int64(len(blob))
+	rec.bytes += int64(len(rec.blob))
 	if rec.dir != "" {
 		// Best-effort diagnostic artifact; recovery never reads it back.
 		if os.MkdirAll(rec.dir, 0o755) == nil {
-			_ = os.WriteFile(filepath.Join(rec.dir, rec.prog+".ckpt"), blob, 0o644)
+			_ = os.WriteFile(filepath.Join(rec.dir, rec.prog+".ckpt"), rec.blob, 0o644)
 		}
 	}
 }
@@ -415,7 +419,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 			// The initial state is itself a consistent checkpoint: a
 			// crash before the first quiescent epoch restarts the whole
 			// program (ghosting is disabled for epoch 0).
-			rec.keep(checkpoint.Encode(proto.Capture()))
+			rec.keep(proto)
 		} else {
 			snap, err := checkpoint.Decode(rec.blob)
 			if err != nil {
@@ -437,7 +441,7 @@ func runAttempt(prog *ir.Program, opt Options, rec *recovery, startAt sim.Time, 
 		// lose E's checkpoint, which the recovery restores to).
 		cluster.OnEpoch = func(epoch int64) {
 			if proto.Quiescent() {
-				rec.keep(checkpoint.Encode(proto.Capture()))
+				rec.keep(proto)
 			}
 			for i, cs := range rec.specs {
 				if !rec.fired[i] && cs.Epoch > 0 && cs.Epoch == epoch {
